@@ -30,6 +30,11 @@ Checks things no generic tool enforces:
    contract, so there is never a correctness reason to drop back to the
    scalar loop). A deliberate exception carries a `// per-record:` comment
    on the same or the preceding line stating why batching cannot apply.
+6. Test scratch paths are unique per process: files under tests/ must not
+   name a file `TempDir() + "<literal>"`. ctest runs every gtest case as
+   its own process, several at once under -j, so a fixed name is written by
+   concurrent cases; build the path with tests/temp_path.hpp's
+   unique_temp_path() (test name + pid) instead.
 
 Exit code 0 when clean, 1 with one line per finding otherwise.
 """
@@ -77,6 +82,10 @@ OBS_EMPTY_NAME_RE = re.compile(r"\b(gauge_fn|counter|gauge|histogram)\s*\(\s*\"\
 # keeps free functions and declarations out of scope.
 PER_RECORD_UPDATE_RE = re.compile(r"(?:\.|->)update\s*\(")
 PER_RECORD_WAIVER_RE = re.compile(r"//\s*per-record:")
+
+# A fixed file name appended to gtest's shared scratch directory (matched
+# across line breaks: `TempDir() +` may end a line).
+FIXED_TEMP_NAME_RE = re.compile(r"\bTempDir\(\)\s*\+\s*\"")
 
 
 def strip_strings(line: str) -> str:
@@ -207,6 +216,17 @@ def lint_engine_batching(path: Path, rel: str, findings: list[str]) -> None:
             )
 
 
+def lint_fixed_temp_names(path: Path, rel: str, findings: list[str]) -> None:
+    text = path.read_text(encoding="utf-8")
+    for m in FIXED_TEMP_NAME_RE.finditer(text):
+        row = text.count("\n", 0, m.start())
+        findings.append(
+            f"{rel}:{row + 1}: fixed TempDir() + \"...\" scratch name -- "
+            "concurrent ctest processes share it; use "
+            "tests/temp_path.hpp's unique_temp_path()"
+        )
+
+
 def lint_pragma_once(path: Path, rel: str, findings: list[str]) -> None:
     for line in path.read_text(encoding="utf-8").splitlines():
         stripped = line.strip()
@@ -250,6 +270,8 @@ def main() -> int:
                 continue
             rel = path.relative_to(args.root).as_posix()
             lint_obs_call_sites(path, rel, findings)
+            if extra == "tests":
+                lint_fixed_temp_names(path, rel, findings)
 
     if findings:
         print(f"lint_invariants: {len(findings)} finding(s)")

@@ -168,7 +168,7 @@ struct EngineConfig {
   ShardPolicy policy = ShardPolicy::kKeyHash;
   OverflowPolicy overflow = OverflowPolicy::kBlock;
 
-  // -- windowed change detection (HhhEngine::window_snapshot) ---------------
+  // -- windowed change detection (HhhEngine::trend_snapshot) ----------------
   /// >0: a window epoch closes once this many records have been CONSUMED
   /// into shard lattices since the last boundary. The budget basis is
   /// consumed-only by contract: drop-tail drops are attributed to the
@@ -179,16 +179,12 @@ struct EngineConfig {
   std::uint64_t epoch_packets = 0;
   /// >0: a window epoch closes every this many wall-clock milliseconds.
   /// 0 disables the wall budget. Either budget (or manual
-  /// HhhEngine::rotate_epoch() calls) drives the same rotation.
+  /// HhhEngine::rotate_epoch() calls) drives the same rotation: workers
+  /// meter the budget at batch boundaries and the one that sees it spent
+  /// elects itself rotator (one CAS on an epoch-due token), so boundary
+  /// drift is bounded by one worker batch; a coordinator clock thread
+  /// rotates idle streams.
   std::uint32_t epoch_millis = 0;
-  /// When true (default), workers meter the epoch budget at batch
-  /// boundaries and the one that sees it spent elects itself rotator (one
-  /// CAS on an epoch-due token) and drives the rotation -- boundary drift
-  /// is bounded by one worker batch. The coordinator clock thread is then
-  /// only a fallback for idle streams. When false, rotation reverts to the
-  /// clock thread's 200us polling timeslice (the pre-cooperative baseline;
-  /// kept as an escape hatch and for drift A/B measurement).
-  bool cooperative_rotation = true;
   /// Sealed windows each shard retains (>= 1). 1 is the classic
   /// live/previous pair; larger K unlocks HhhEngine::trend_snapshot()'s
   /// k-epoch growth curves and sustained-ramp alarms at the cost of K

@@ -13,32 +13,17 @@ namespace rhhh {
 
 namespace {
 
-/// EngineStats as a flat JSON object -- the "stats" section of the stall
-/// watchdog's flight-recorder dump.
-std::string engine_stats_json(const EngineStats& s) {
+/// The scalar EngineStats counters as a flat JSON object -- the "stats"
+/// section of the stall watchdog's flight-recorder dump.
+std::string stats_json(const EngineStats& s) {
   std::string out = "{";
-  bool first = true;
-  const auto field = [&](const char* k, std::uint64_t v) {
-    if (!first) out += ',';
-    first = false;
+  for (const EngineStatField& f : kEngineStatFields) {
+    if (out.size() > 1) out += ',';
     out += '"';
-    out += k;
+    out += f.name;
     out += "\":";
-    out += std::to_string(v);
-  };
-  field("offered", s.offered);
-  field("consumed", s.consumed);
-  field("dropped", s.dropped);
-  field("backpressure_waits", s.backpressure_waits);
-  field("epochs", s.epochs);
-  field("window_epochs", s.window_epochs);
-  field("archived_windows", s.archived_windows);
-  field("archive_queue_drops", s.archive_queue_drops);
-  field("archive_errors", s.archive_errors);
-  field("trend_cache_hits", s.trend_cache_hits);
-  field("budget_rotations", s.budget_rotations);
-  field("rotation_drift_ns_total", s.rotation_drift_ns_total);
-  field("late_rotations", s.late_rotations);
+    out += std::to_string(s.*f.field);
+  }
   out += '}';
   return out;
 }
@@ -56,10 +41,6 @@ HhhEngine::Producer::Producer(HhhEngine* eng, std::uint32_t id)
       router_(eng->cfg_.policy, eng->workers(), eng->params_.seed, id),
       buf_(eng->workers()) {
   for (auto& b : buf_) b.reserve(batch_);
-}
-
-void HhhEngine::Producer::ingest(const PacketRecord& p) {
-  ingest(eng_->hierarchy().key_of(p));
 }
 
 void HhhEngine::Producer::flush() {
@@ -190,8 +171,10 @@ HhhEngine::~HhhEngine() {
   stop();
   // After stop(): no worker/clock/archiver thread can touch obs_ anymore,
   // and the registry must stop sampling the `this`-capturing gauges before
-  // the members they read are destroyed.
-  unbind_metrics();
+  // the members they read are destroyed. Registry-owned histograms/gauges
+  // stay, so successive engines accumulate into the same families.
+  if (obs_.reg == nullptr) return;
+  for (const std::string& name : obs_.owned) obs_.reg->unregister(name);
 }
 
 void HhhEngine::bind_metrics() {
@@ -217,7 +200,7 @@ void HhhEngine::bind_metrics() {
       "rhhh_engine_rotation_drift_ns",
       "budget-spent to rotation-start drift (ns, budget-driven rotations)");
   obs_.snapshot_ns = &reg.histogram("rhhh_engine_snapshot_merge_ns",
-                                    "snapshot/window_snapshot merge time (ns)");
+                                    "snapshot merge time (ns)");
   obs_.trend_ns = &reg.histogram("rhhh_engine_trend_merge_ns",
                                  "trend_snapshot merge time (ns)");
   obs_.archive_q_depth = &reg.gauge("rhhh_engine_archive_queue_depth",
@@ -231,98 +214,15 @@ void HhhEngine::bind_metrics() {
     reg.gauge_fn(name, std::move(fn), help);
     obs_.owned.push_back(name);
   };
-  own("rhhh_engine_offered",
-      [this] {
-        double o = 0;
-        for (const auto& p : producers_) o += static_cast<double>(p->offered());
-        return o;
-      },
-      "records accepted and published by producer handles");
-  own("rhhh_engine_consumed",
-      [this] {
-        double c = 0;
-        for (const auto& ws : workers_) {
-          // order: relaxed -- statistic sampled at scrape time.
-          c += static_cast<double>(ws->consumed.load(std::memory_order_relaxed));
-        }
-        return c;
-      },
-      "records consumed into shard lattices");
-  own("rhhh_engine_dropped",
-      [this] {
-        double d = 0;
-        for (const auto& r : ring_dropped_) {
-          // order: relaxed -- statistic sampled at scrape time.
-          d += static_cast<double>(r->load(std::memory_order_relaxed));
-        }
-        return d;
-      },
-      "records dropped at full rings (kDropTail)");
-  own("rhhh_engine_backpressure_waits",
-      [this] {
-        double b = 0;
-        for (const auto& w : backpressure_) {
-          // order: relaxed -- statistic sampled at scrape time.
-          b += static_cast<double>(w->load(std::memory_order_relaxed));
-        }
-        return b;
-      },
-      "producer spin rounds on full rings (kBlock)");
-  own("rhhh_engine_epochs",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(epoch_req_.load(std::memory_order_relaxed));
-      },
-      "quiesce generations (snapshots + rotations)");
-  own("rhhh_engine_window_epochs",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            window_epochs_.load(std::memory_order_relaxed));
-      },
-      "completed window rotations");
-  own("rhhh_engine_archived_windows",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            archived_windows_.load(std::memory_order_relaxed));
-      },
-      "windows persisted by the archiver");
-  own("rhhh_engine_archive_queue_drops",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            archive_queue_drops_.load(std::memory_order_relaxed));
-      },
-      "sealed windows dropped at a full archiver queue");
-  own("rhhh_engine_archive_errors",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            archive_errors_.load(std::memory_order_relaxed));
-      },
-      "windows lost to archive I/O errors");
-  own("rhhh_engine_budget_rotations",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            budget_rotations_.load(std::memory_order_relaxed));
-      },
-      "budget-driven rotations (the drift-metered subset)");
-  own("rhhh_engine_late_rotations",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            late_rotations_.load(std::memory_order_relaxed));
-      },
-      "budget rotations later than the 200us fallback timeslice");
-  own("rhhh_engine_trend_cache_hits",
-      [this] {
-        // order: relaxed -- statistic sampled at scrape time.
-        return static_cast<double>(
-            trend_cache_hits_.load(std::memory_order_relaxed));
-      },
-      "trend_snapshot sealed-merge cache hits");
+  // One mirror per kEngineStatFields row, sampled through stats()' own
+  // collector (all relaxed loads, no allocation), so a scrape reads exactly
+  // what stats() reads.
+  for (const EngineStatField& f : kEngineStatFields) {
+    std::string name = "rhhh_engine_";
+    name += f.name;
+    own(name, [this, f] { return static_cast<double>(collect(false).*f.field); },
+        f.help);
+  }
   for (std::uint32_t p = 0; p < producers(); ++p) {
     for (std::uint32_t w = 0; w < workers(); ++w) {
       own("rhhh_engine_ring_occupancy{ring=\"p" + std::to_string(p) + "w" +
@@ -333,13 +233,6 @@ void HhhEngine::bind_metrics() {
           "records in flight per producer x worker ring");
     }
   }
-}
-
-void HhhEngine::unbind_metrics() {
-  if (obs_.reg == nullptr) return;
-  for (const std::string& name : obs_.owned) obs_.reg->unregister(name);
-  obs_.owned.clear();
-  obs_.reg = nullptr;
 }
 
 void HhhEngine::bind_health() {
@@ -385,9 +278,9 @@ void HhhEngine::bind_health() {
     }
     return p;
   };
-  // collect_stats() is all relaxed loads -- safe from the watchdog thread
+  // collect() is all relaxed loads -- safe from the watchdog thread
   // even while the engine is wedged.
-  auto stats_fn = [this] { return engine_stats_json(collect_stats()); };
+  auto stats_fn = [this] { return stats_json(collect(false)); };
   watchdog_ = std::make_unique<obs::StallWatchdog>(
       std::move(wcfg), std::move(sampler), std::move(stats_fn), health_.get(),
       obs_.trace, obs_.reg);
@@ -427,20 +320,9 @@ void HhhEngine::start() {
     // meter the budget from their first batch, and a previous run may have
     // left a spent countdown or -- if stop() joined a worker mid-claim --
     // a set epoch-due token behind.
-    // order: relaxed x5 -- read by the worker/clock threads created below;
-    // std::thread creation is the happens-before edge, not these atomics.
-    const std::int64_t now_ns =
-        std::chrono::steady_clock::now().time_since_epoch().count();
-    win_started_ns_.store(now_ns, std::memory_order_relaxed);
-    epoch_budget_left_.store(static_cast<std::int64_t>(cfg_.epoch_packets),
-                             std::memory_order_relaxed);
-    epoch_deadline_ns_.store(
-        cfg_.epoch_millis > 0
-            ? now_ns + static_cast<std::int64_t>(cfg_.epoch_millis) * 1'000'000
-            : 0,
-        std::memory_order_relaxed);
-    // order: relaxed x2 -- same thread-creation hand-off as above.
-    budget_spent_ns_.store(0, std::memory_order_relaxed);
+    reset_budget(std::chrono::steady_clock::now().time_since_epoch().count());
+    // order: relaxed -- read by the worker threads created below; std::thread
+    // creation is the happens-before edge, not this atomic.
     epoch_due_.store(false, std::memory_order_relaxed);
   }
   for (std::uint32_t w = 0; w < workers(); ++w) {
@@ -511,11 +393,12 @@ void HhhEngine::stop() {
   // archive_ null, no further rotation can enqueue.
   std::thread archiver = std::move(archive_thread_);
   std::unique_ptr<store::WindowArchive> arch = std::move(archive_);
+  std::uint64_t retired_gen = 0;
   {
     std::lock_guard<std::mutex> lk(arch_mu_);
     // order: release -- pairs with the acquire load in archive_loop()'s wait
     // predicate; bumped under arch_mu_ so the cv wait cannot miss it.
-    archive_gen_.fetch_add(1, std::memory_order_release);
+    retired_gen = archive_gen_.fetch_add(1, std::memory_order_release);
   }
   arch_cv_.notify_all();
   snap_lk.unlock();
@@ -523,18 +406,10 @@ void HhhEngine::stop() {
   if (archiver.joinable()) archiver.join();
   if (arch != nullptr) {
     // The retired archiver drains the queue before exiting; sweep once
-    // more for pathological interleavings, then seal the segment so a
+    // more for pathological interleavings (a retired generation's loop
+    // returns as soon as the queue is empty), then seal the segment so a
     // cold reader gets the footer-indexed fast path.
-    for (;;) {
-      ArchiveItem item;
-      {
-        std::lock_guard<std::mutex> lk(arch_mu_);
-        if (archive_q_.empty()) break;
-        item = std::move(archive_q_.front());
-        archive_q_.pop_front();
-      }
-      archive_one(arch.get(), item);
-    }
+    archive_loop(arch.get(), retired_gen);
     try {
       arch->close();
     } catch (const std::exception&) {
@@ -615,33 +490,35 @@ void HhhEngine::enqueue_archive(std::uint64_t sealed_drop,
                                 std::uint64_t duration_ns,
                                 std::int64_t wall_start_ns,
                                 std::int64_t wall_end_ns) {
+  ArchiveItem item;
+  // order: relaxed -- window_epochs_ is only advanced under snap_mu_, which
+  // the rotation calling us holds; the value is stable here.
+  item.meta.epoch = window_epochs_.load(std::memory_order_relaxed);
+  // A full queue drops the window and counts it. Caller holds arch_mu_.
+  const auto queue_full = [&] {
+    if (archive_q_.size() < cfg_.archive.queue_windows) return false;
+    // order: relaxed -- drop counter; the queue itself is under arch_mu_.
+    archive_queue_drops_.fetch_add(1, std::memory_order_relaxed);
+    if (obs_.trace != nullptr) {
+      obs_.trace->record(obs::TraceEvent::kArchiveDrop,
+                         static_cast<std::int64_t>(obs::now_ns()),
+                         item.meta.epoch, 0);
+    }
+    return true;
+  };
   // A backlogged archiver (slow disk) means this window is going to be
   // dropped anyway: check before paying for the blobs, so drops are
   // near-free exactly when the system is already struggling. The final
   // push re-checks under the same lock.
   {
     std::lock_guard<std::mutex> lk(arch_mu_);
-    if (archive_q_.size() >= cfg_.archive.queue_windows) {
-      // order: relaxed -- drop counter; the queue itself is under arch_mu_.
-      archive_queue_drops_.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.trace != nullptr) {
-        // order: relaxed -- window_epochs_ stable under snap_mu_ (held).
-        obs_.trace->record(obs::TraceEvent::kArchiveDrop,
-                           static_cast<std::int64_t>(obs::now_ns()),
-                           window_epochs_.load(std::memory_order_relaxed), 0);
-      }
-      return;
-    }
+    if (queue_full()) return;
   }
   // Workers are already ingesting the next window; the just-sealed shard
   // windows are immutable until the next rotation, which needs snap_mu_
   // (held here). The rotation path pays only these flat per-shard
   // serializations -- the cross-shard merge and all I/O run on the
   // archiver thread -- and the queue hand-off below never blocks.
-  ArchiveItem item;
-  // order: relaxed -- window_epochs_ is only advanced under snap_mu_, which
-  // the rotation calling us holds; the value is stable here.
-  item.meta.epoch = window_epochs_.load(std::memory_order_relaxed);
   item.meta.wall_start_ns = wall_start_ns;
   item.meta.wall_end_ns = wall_end_ns;
   item.meta.duration_ns = duration_ns;
@@ -665,16 +542,7 @@ void HhhEngine::enqueue_archive(std::uint64_t sealed_drop,
   item.meta.updates = updates;
   {
     std::lock_guard<std::mutex> lk(arch_mu_);
-    if (archive_q_.size() >= cfg_.archive.queue_windows) {
-      // order: relaxed -- drop counter (same as the pre-check above).
-      archive_queue_drops_.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.trace != nullptr) {
-        obs_.trace->record(obs::TraceEvent::kArchiveDrop,
-                           static_cast<std::int64_t>(obs::now_ns()),
-                           item.meta.epoch, 0);
-      }
-      return;
-    }
+    if (queue_full()) return;
     archive_q_.push_back(std::move(item));
     if (obs_.archive_q_depth != nullptr) {
       obs_.archive_q_depth->set(static_cast<std::int64_t>(archive_q_.size()));
@@ -683,27 +551,31 @@ void HhhEngine::enqueue_archive(std::uint64_t sealed_drop,
   arch_cv_.notify_one();
 }
 
-std::size_t HhhEngine::drain_pass(std::uint32_t w, std::vector<Key128>& batch) {
+std::size_t HhhEngine::consume(std::uint32_t p, std::uint32_t w,
+                               std::vector<Key128>& batch, std::size_t max) {
+  const std::size_t n = ring(p, w).try_pop_n(batch.data(), max);
+  if (n == 0) return 0;
+  // Whole popped batches feed the staged LatticeHhh pipeline (block-RNG,
+  // survivor compaction, prefetched apply) -- state remains byte-identical
+  // to per-record update() calls by the update_batch contract.
   WorkerState& ws = *workers_[w];
-  RhhhSpaceSaving& lattice = ws.ring.live();
+  ws.ring.live().update_batch(batch.data(), n);
+  // order: relaxed x2 -- pop and consumed counters; record visibility came
+  // from the ring, and exact totals are read only under quiesce.
+  ring_popped_[p * workers_.size() + w]->fetch_add(n, std::memory_order_relaxed);
+  ws.consumed.fetch_add(n, std::memory_order_relaxed);
+  return n;
+}
+
+std::size_t HhhEngine::drain_pass(std::uint32_t w, std::vector<Key128>& batch) {
   // Telemetry probe: one clock read per pass, recorded only for passes that
   // consumed something (idle spins would swamp the histogram with noise).
   const std::uint64_t obs_t0 = obs_.pop_ns != nullptr ? obs::now_ns() : 0;
   std::size_t total = 0;
   for (std::uint32_t p = 0; p < producers(); ++p) {
-    const std::size_t n = ring(p, w).try_pop_n(batch.data(), batch.size());
-    if (n == 0) continue;
-    // Whole popped batches feed the staged LatticeHhh pipeline (block-RNG,
-    // survivor compaction, prefetched apply) -- state remains byte-identical
-    // to per-record update() calls by the update_batch contract.
-    lattice.update_batch(batch.data(), n);
-    // order: relaxed -- pop counter; record visibility came from the ring.
-    ring_popped_[p * workers_.size() + w]->fetch_add(n, std::memory_order_relaxed);
-    total += n;
+    total += consume(p, w, batch, batch.size());
   }
-  // order: relaxed -- consumed counter; exact only under quiesce.
   if (total != 0) {
-    ws.consumed.fetch_add(total, std::memory_order_relaxed);
     if (obs_.pop_ns != nullptr) obs_.pop_ns->record_since(obs_t0);
     // Batching efficacy: how full each productive drain pass ran (idle
     // passes are skipped for the same reason pop_ns skips them).
@@ -718,25 +590,15 @@ void HhhEngine::worker_loop(std::uint32_t w) {
   std::uint64_t acked = 0;
   // Cooperative rotation state, all thread-local so non-windowed engines
   // pay nothing past two immutable bools. `metering` (packet budget
-  // configured) drives the countdown whether or not the cooperative path is
-  // on -- the fallback clock reads the same countdown, and the drift mark
-  // set at the crossing keeps the baseline's drift measurement honest.
-  // `claimed` tracks ownership of the epoch-due token across batches while
-  // snap_mu_ is busy (the claim survives quiesce boundaries: a try-lock
-  // miss below never blocks this worker from acking them).
+  // configured) drives the countdown the fallback clock reads too; the
+  // drift mark set at the crossing feeds the drift telemetry. `claimed`
+  // tracks ownership of the epoch-due token across batches while snap_mu_
+  // is busy (the claim survives quiesce boundaries: a try-lock miss below
+  // never blocks this worker from acking them).
   const bool metering = cfg_.epoch_packets > 0;
-  const bool cooperative = windowed() && cfg_.cooperative_rotation;
+  const bool cooperative = windowed();
   bool claimed = false;
   for (;;) {
-    // TEST HOOK (see test_block_worker): park while singled out. Costs the
-    // production path one relaxed load + compare per drain pass.
-    // order: relaxed -- poll-only injection flag; no payload rides on it.
-    while (stall_worker_.load(std::memory_order_relaxed) == w) {
-      // order: relaxed -- stop() unparks us; its acq_rel flip is re-checked
-      // with proper ordering by the shutdown path below.
-      if (!running_.load(std::memory_order_relaxed)) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
     const std::size_t got = drain_pass(w, batch);
     if (metering && got != 0) meter_consumed(got);
     if (cooperative && got != 0 && !claimed && budget_due()) {
@@ -803,28 +665,14 @@ void HhhEngine::boundary_drain(std::uint32_t w, std::vector<Key128>& batch) {
   // Bounding the drain by the observed size keeps quiesce terminating even
   // while producers keep pushing -- later arrivals simply belong to the
   // next epoch.
-  WorkerState& ws = *workers_[w];
-  RhhhSpaceSaving& lattice = ws.ring.live();
   std::size_t drained = 0;
   for (std::uint32_t p = 0; p < producers(); ++p) {
-    SpscRing<Key128>& r = ring(p, w);
-    std::size_t left = r.size_approx();
-    std::uint64_t popped = 0;
+    std::size_t left = ring(p, w).size_approx();
     while (left != 0) {
-      const std::size_t n =
-          r.try_pop_n(batch.data(), std::min(batch.size(), left));
+      const std::size_t n = consume(p, w, batch, std::min(batch.size(), left));
       if (n == 0) break;
-      lattice.update_batch(batch.data(), n);
-      // order: relaxed -- consumed counter (see drain_pass).
-      ws.consumed.fetch_add(n, std::memory_order_relaxed);
-      popped += n;
       left -= n;
-    }
-    if (popped != 0) {
-      // order: relaxed -- pop counter (see drain_pass).
-      ring_popped_[p * workers_.size() + w]->fetch_add(
-          popped, std::memory_order_relaxed);
-      drained += popped;
+      drained += n;
     }
   }
   // Boundary-drained records reached the live lattice, so they spend the
@@ -850,6 +698,22 @@ void HhhEngine::meter_consumed(std::size_t n) {
     note_budget_spent(
         std::chrono::steady_clock::now().time_since_epoch().count());
   }
+}
+
+void HhhEngine::reset_budget(std::int64_t now_ns) {
+  // order: relaxed x4 -- callers guarantee no concurrent metering (workers
+  // not yet spawned, or parked past their boundary drain); thread creation
+  // or the ctl_mu_ resume hand-off publishes these, and the clock's
+  // snap_mu_ re-check tolerates staleness by contract (see budget_due).
+  win_started_ns_.store(now_ns, std::memory_order_relaxed);
+  epoch_budget_left_.store(static_cast<std::int64_t>(cfg_.epoch_packets),
+                           std::memory_order_relaxed);
+  epoch_deadline_ns_.store(
+      cfg_.epoch_millis > 0
+          ? now_ns + static_cast<std::int64_t>(cfg_.epoch_millis) * 1'000'000
+          : 0,
+      std::memory_order_relaxed);
+  budget_spent_ns_.store(0, std::memory_order_relaxed);
 }
 
 void HhhEngine::note_budget_spent(std::int64_t mark_ns) {
@@ -906,19 +770,16 @@ bool HhhEngine::try_rotate_cooperative(std::uint32_t w,
 }
 
 void HhhEngine::clock_loop(std::uint64_t gen) {
-  // The DEMOTED fallback clock: with cooperative rotation (the default) the
-  // workers meter the budget at their batch boundaries and rotate
-  // themselves, so this thread matters only for idle streams -- a wall
-  // budget with no traffic has no batch boundary to piggyback on. With
-  // cooperative_rotation == false it is the sole automatic rotator (the
-  // pre-cooperative 200us-timeslice baseline the drift bench compares
-  // against). Either way it meters the same consumed-only budget lock-free
-  // and only takes snap_mu_ when a rotation is actually due -- a stream of
-  // concurrent snapshots must not starve the clock, and an idle clock must
-  // not contend with them. A stale generation token (this thread has been
-  // retired by stop(), possibly with a successor already running) exits
-  // without touching anything.
-  constexpr std::int64_t kTimesliceNs = 200'000;  // 200us poll cadence
+  // The fallback clock: the workers meter the budget at their batch
+  // boundaries and rotate themselves, so this thread matters only for idle
+  // streams -- a wall budget with no traffic has no batch boundary to
+  // piggyback on, and a packet budget spent inside a boundary drain has no
+  // next batch to notice it. It meters the same consumed-only budget
+  // lock-free, polling every kTimesliceNs, and only takes snap_mu_ when a
+  // rotation is actually due -- a stream of concurrent snapshots must not
+  // starve the clock, and an idle clock must not contend with them. A stale
+  // generation token (this thread has been retired by stop(), possibly
+  // with a successor already running) exits without touching anything.
   // order: acquire x2 -- pair with stop()'s release bump of clock_gen_ and
   // acq_rel flip of running_: a retired/stopped clock must also observe the
   // teardown that retired it before touching anything.
@@ -953,34 +814,29 @@ void HhhEngine::clock_loop(std::uint64_t gen) {
   }
 }
 
-EngineStats HhhEngine::collect_stats() const {
+EngineStats HhhEngine::stats() const { return collect(/*per_ring=*/true); }
+
+EngineStats HhhEngine::collect(bool per_ring) const {
   // order: relaxed (every counter below) -- stats() documents these as
   // individually-consistent live counters; exactness comes only from calling
   // under quiesce, where the ctl_mu_ hand-off orders the workers' writes.
   EngineStats s;
-  s.per_worker_consumed.reserve(workers_.size());
   for (const auto& ws : workers_) {
     // order: relaxed -- per-worker consumed counter (see header comment).
     const std::uint64_t c = ws->consumed.load(std::memory_order_relaxed);
-    s.per_worker_consumed.push_back(c);
+    if (per_ring) s.per_worker_consumed.push_back(c);
     s.consumed += c;
   }
-  s.per_ring_dropped.reserve(rings_.size());
-  s.per_ring_pushed.reserve(rings_.size());
-  s.per_ring_popped.reserve(rings_.size());
   for (const auto& d : ring_dropped_) {
     // order: relaxed -- per-ring drop counter.
     const std::uint64_t n = d->load(std::memory_order_relaxed);
-    s.per_ring_dropped.push_back(n);
+    if (per_ring) s.per_ring_dropped.push_back(n);
     s.dropped += n;
   }
-  for (const auto& p : ring_pushed_) {
-    // order: relaxed -- per-ring push counter.
-    s.per_ring_pushed.push_back(p->load(std::memory_order_relaxed));
-  }
-  for (const auto& p : ring_popped_) {
-    // order: relaxed -- per-ring pop counter.
-    s.per_ring_popped.push_back(p->load(std::memory_order_relaxed));
+  for (std::size_t r = 0; per_ring && r < rings_.size(); ++r) {
+    // order: relaxed x2 -- per-ring push/pop counters.
+    s.per_ring_pushed.push_back(ring_pushed_[r]->load(std::memory_order_relaxed));
+    s.per_ring_popped.push_back(ring_popped_[r]->load(std::memory_order_relaxed));
   }
   for (const auto& p : producers_) s.offered += p->offered();
   for (const auto& b : backpressure_) {
@@ -1000,8 +856,6 @@ EngineStats HhhEngine::collect_stats() const {
   s.late_rotations = late_rotations_.load(std::memory_order_relaxed);
   return s;
 }
-
-EngineStats HhhEngine::stats() const { return collect_stats(); }
 
 template <class Fn>
 std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
@@ -1066,27 +920,33 @@ std::uint64_t HhhEngine::quiesced(Fn&& fn, std::uint32_t self,
   return e;
 }
 
-EngineSnapshot HhhEngine::snapshot() {
-  std::lock_guard<std::mutex> snap_lk(snap_mu_);
-  const obs::ScopedTimer obs_t(obs_.snapshot_ns);
-  std::unique_ptr<RhhhSpaceSaving> merged;
-  EngineStats s;
-  const std::uint64_t e = quiesced([&] {
+HhhEngine::LiveMerge HhhEngine::merge_live(std::uint64_t drops_base) {
+  LiveMerge out;
+  out.epoch = quiesced([&] {
     // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    merged = make_shard_lattice(0x6e7a9000ULL ^
-                                epoch_req_.load(std::memory_order_relaxed));
-    for (const auto& ws : workers_) merged->merge(ws->ring.live());
-    s = collect_stats();
+    out.merged = make_shard_lattice(0x6e7a9000ULL ^
+                                    epoch_req_.load(std::memory_order_relaxed));
+    for (const auto& ws : workers_) out.merged->merge(ws->ring.live());
+    out.stats = stats();
     // A dropped record was still offered on the wire: fold drops into N so
     // thresholds and slack terms see the full stream, exactly like
     // DistributedMeasurement::stop() does.
-    if (s.dropped != 0) merged->advance_stream(s.dropped);
+    out.drops = out.stats.dropped - drops_base;
+    if (out.drops != 0) out.merged->advance_stream(out.drops);
   });
+  return out;
+}
+
+EngineSnapshot HhhEngine::snapshot() {
+  std::lock_guard<std::mutex> snap_lk(snap_mu_);
+  const obs::ScopedTimer obs_t(obs_.snapshot_ns);
+  LiveMerge live = merge_live(0);  // the lifetime view: every drop counted
   if (obs_.trace != nullptr) {
     obs_.trace->record(obs::TraceEvent::kSnapshot,
-                       static_cast<std::int64_t>(obs::now_ns()), e, 0);
+                       static_cast<std::int64_t>(obs::now_ns()), live.epoch, 0);
   }
-  return EngineSnapshot(std::move(merged), std::move(s), e);
+  return EngineSnapshot(std::move(live.merged), std::move(live.stats),
+                        live.epoch);
 }
 
 void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batch,
@@ -1113,7 +973,7 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
       // order: relaxed x3 -- drift statistics, written only under snap_mu_.
       budget_rotations_.fetch_add(1, std::memory_order_relaxed);
       drift_ns_total_.fetch_add(drift, std::memory_order_relaxed);
-      if (drift > static_cast<std::uint64_t>(kLateRotationNs)) {
+      if (drift > static_cast<std::uint64_t>(kTimesliceNs)) {
         late_rotations_.fetch_add(1, std::memory_order_relaxed);
       }
       if (obs_.rotation_drift_ns != nullptr) obs_.rotation_drift_ns->record(drift);
@@ -1127,10 +987,7 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
   const std::uint64_t e = quiesced(
       [&] {
     for (auto& ws : workers_) ws->ring.rotate();
-    std::uint64_t d = 0;
-    // order: relaxed -- workers are parked (quiesced), so the drop counters
-    // are stable; the ctl_mu_ hand-off already ordered their last writes.
-    for (const auto& dr : ring_dropped_) d += dr->load(std::memory_order_relaxed);
+    const std::uint64_t d = collect(false).dropped;
     // Drops since the last boundary happened while the just-sealed window
     // was live: attribute them to it. The per-window drop ring ages in
     // lockstep with the shard rings (newest first, oldest falls off), and
@@ -1152,18 +1009,7 @@ void HhhEngine::rotate_locked(std::uint32_t self, std::vector<Key128>* self_batc
     // is parked past its boundary drain (or IS this thread): no metering
     // decrement can race these stores, and the ctl_mu_ hand-off at resume
     // publishes them to the workers.
-    // order: relaxed x4 -- the parked workers' resume (ctl_mu_) and the
-    // clock's snap_mu_ re-check are the happens-before edges; lock-free
-    // readers tolerate staleness by contract (see budget_due).
-    win_started_ns_.store(now_ns, std::memory_order_relaxed);
-    epoch_budget_left_.store(static_cast<std::int64_t>(cfg_.epoch_packets),
-                             std::memory_order_relaxed);
-    epoch_deadline_ns_.store(
-        cfg_.epoch_millis > 0
-            ? now_ns + static_cast<std::int64_t>(cfg_.epoch_millis) * 1'000'000
-            : 0,
-        std::memory_order_relaxed);
-    budget_spent_ns_.store(0, std::memory_order_relaxed);
+    reset_budget(now_ns);
       },
       self, self_batch);
   // A rotating worker must not re-park at the boundary it just drove.
@@ -1219,54 +1065,14 @@ void HhhEngine::stamp_certificate(std::uint64_t sealed_epoch,
       static_cast<std::int64_t>(obs::now_ns())));
 }
 
-WindowedEngineSnapshot HhhEngine::window_snapshot() {
-  std::lock_guard<std::mutex> snap_lk(snap_mu_);
-  const obs::ScopedTimer obs_t(obs_.snapshot_ns);
-  std::unique_ptr<RhhhSpaceSaving> cur;
-  std::unique_ptr<RhhhSpaceSaving> prev;
-  EngineStats s;
-  std::uint64_t cur_drops = 0;
-  std::uint64_t prev_drops = 0;
-  // Rotations hold snap_mu_ too, so the window count is stable here.
-  // order: relaxed -- stable under snap_mu_ (held).
-  const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
-  quiesced([&] {
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed);
-    cur = make_shard_lattice(0x6e7a9000ULL ^ e);
-    for (const auto& ws : workers_) cur->merge(ws->ring.live());
-    s = collect_stats();
-    cur_drops = s.dropped - win_drops_base_;
-    if (cur_drops != 0) cur->advance_stream(cur_drops);
-    if (we != 0) {
-      prev = make_shard_lattice(0x6e7ab000ULL ^ e);
-      for (const auto& ws : workers_) prev->merge(ws->ring.sealed(0));
-      prev_drops = sealed_drops_[0];
-      if (prev_drops != 0) prev->advance_stream(prev_drops);
-    }
-  });
-  return WindowedEngineSnapshot(std::move(cur), std::move(prev), std::move(s), we,
-                                cur_drops, prev_drops);
-}
-
 TrendSnapshot HhhEngine::trend_snapshot() {
   std::lock_guard<std::mutex> snap_lk(snap_mu_);
   const obs::ScopedTimer obs_t(obs_.trend_ns);
-  std::unique_ptr<RhhhSpaceSaving> cur;
-  EngineStats s;
-  std::uint64_t cur_drops = 0;
   // Rotations hold snap_mu_ too, so the window count is stable here.
   // order: relaxed -- stable under snap_mu_ (held).
   const std::uint64_t we = window_epochs_.load(std::memory_order_relaxed);
-  quiesced([&] {
-    // order: relaxed -- epoch_req_ only changes under snap_mu_ (held).
-    const std::uint64_t e = epoch_req_.load(std::memory_order_relaxed);
-    cur = make_shard_lattice(0x6e7a9000ULL ^ e);
-    for (const auto& ws : workers_) cur->merge(ws->ring.live());
-    s = collect_stats();
-    cur_drops = s.dropped - win_drops_base_;
-    if (cur_drops != 0) cur->advance_stream(cur_drops);
-  });
+  // The current window owns only the drops counted since the last boundary.
+  LiveMerge live = merge_live(win_drops_base_);
   // The sealed merges run after the workers resumed: sealed shard windows
   // are immutable until the next rotation (which needs snap_mu_, held
   // here), so only the live-window merge needs the quiesce pause -- and
@@ -1307,9 +1113,9 @@ TrendSnapshot HhhEngine::trend_snapshot() {
   // Pure wall-clock rotation produces unequal-length windows; weigh the
   // sustained-growth baseline by duration there (see window_ring.hpp).
   const bool weighted = cfg_.epoch_millis > 0 && cfg_.epoch_packets == 0;
-  return TrendSnapshot(std::move(cur), std::move(sealed), std::move(sealed_drops),
-                       std::move(sealed_durs), std::move(s), we, cur_drops,
-                       cur_dur, weighted);
+  return TrendSnapshot(std::move(live.merged), std::move(sealed),
+                       std::move(sealed_drops), std::move(sealed_durs),
+                       std::move(live.stats), we, live.drops, cur_dur, weighted);
 }
 
 std::unique_ptr<HhhEngine> make_engine(const EngineConfig& cfg) {

@@ -21,13 +21,12 @@
 // drains its visible ring backlog first), the coordinator operates on the
 // shard lattices, and workers resume.
 //
-// Four operations use it:
+// Three operations use it:
 //   * snapshot()        -- merge the live lattices (LatticeHhh::merge, the
 //                          multi-switch collector of paper Section 7) into
 //                          one instance whose stream length N spans every
-//                          shard plus counted drops. The lifetime view when
-//                          no window rotation is used; the current-window
-//                          view otherwise.
+//                          shard plus every counted drop. The lifetime view
+//                          when no window rotation is used.
 //   * rotate_epoch()    -- seal the current window: every shard rotates its
 //                          window ring on the shared boundary. Driven
 //                          manually, cooperatively by the workers
@@ -37,18 +36,12 @@
 //                          elects itself rotator via one CAS), or -- for
 //                          idle streams -- by the fallback coordinator
 //                          clock thread.
-//   * window_snapshot() -- merge the live side and the newest sealed side
-//                          of every ring into a current-window and a
-//                          previous-window lattice, with each window's
-//                          drops folded into its N: the WindowedHhhMonitor
-//                          semantics (current/previous/emerging) at engine
-//                          scale.
-//   * trend_snapshot()  -- merge every retained sealed window index-aligned
-//                          across shards (shared rotation boundary => ring
-//                          slot i of every shard covers the same epoch)
-//                          into one network-wide lattice per epoch: the
-//                          monitor's trend()/emerging_sustained() k-epoch
-//                          queries at engine scale.
+//   * trend_snapshot()  -- the same live merge with only the current
+//                          window's drops folded in, plus every retained
+//                          sealed window merged index-aligned across shards
+//                          into one lattice per epoch: WindowedHhhMonitor's
+//                          current/previous/emerging/trend queries at
+//                          engine scale.
 //
 // Accounting: drops are counted per ring (OverflowPolicy::kDropTail, the
 // saturated-port semantics of the distributed deployment), pushes and pops
@@ -128,8 +121,6 @@ class HhhEngine {
       b.push_back(key);
       if (b.size() >= batch_) flush_worker(w);
     }
-    /// Convenience overload mapping a packet through the engine's hierarchy.
-    void ingest(const PacketRecord& p);
 
     /// Push out every partially filled batch (and publish the offered
     /// count). Call before snapshot() for results that include everything
@@ -177,7 +168,7 @@ class HhhEngine {
   /// Packets still buffered in producer handles (not flushed) are not yet
   /// part of the snapshot. With window rotation in use this covers only the
   /// current (partial) window -- and folds in *all* drops ever counted, so
-  /// prefer window_snapshot() on a windowed engine. Serialized with itself
+  /// prefer trend_snapshot() on a windowed engine. Serialized with itself
   /// and with start()/stop(); callable before start() and after stop() (no
   /// quiesce needed once workers are gone).
   [[nodiscard]] EngineSnapshot snapshot();
@@ -194,23 +185,18 @@ class HhhEngine {
   /// EngineConfig::epoch_packets for the basis contract.
   void rotate_epoch();
 
-  /// Two-window network-wide query: quiesce, merge the live sides of every
-  /// ring into a current-window lattice and the newest sealed sides into a
-  /// previous-window lattice (absent before the first rotation), fold each
-  /// window's drops into its stream length, resume. Does NOT rotate --
-  /// observing is separate from sealing, so several window snapshots can
-  /// watch one window evolve.
-  [[nodiscard]] WindowedEngineSnapshot window_snapshot();
-
-  /// K-window network-wide query: quiesce, merge every retained sealed
+  /// Windowed network-wide query: quiesce, merge every retained sealed
   /// window of every shard index-aligned (all shards rotate together, so
   /// age i covers the same epoch on every shard) plus the live window,
   /// fold each window's own drops into its stream length, resume. Answers
-  /// trend() and emerging_sustained() over up to
-  /// EngineConfig::history_depth sealed epochs. Does NOT rotate.
+  /// current/previous (window(0))/emerging() and trend()/
+  /// emerging_sustained() over up to EngineConfig::history_depth sealed
+  /// epochs. Does NOT rotate -- observing is separate from sealing, so
+  /// several snapshots can watch one window evolve.
   [[nodiscard]] TrendSnapshot trend_snapshot();
 
-  /// Live ingest counters (no quiesce; individually-consistent atomics).
+  /// Live ingest counters (no quiesce; individually-consistent relaxed
+  /// atomics, so safe from any thread).
   [[nodiscard]] EngineStats stats() const;
 
   [[nodiscard]] std::uint32_t workers() const noexcept {
@@ -221,7 +207,7 @@ class HhhEngine {
   }
   [[nodiscard]] const Hierarchy& hierarchy() const noexcept { return *hierarchy_; }
   [[nodiscard]] const EngineConfig& config() const noexcept { return cfg_; }
-  /// Quiesce generations so far (snapshots + rotations + window snapshots).
+  /// Quiesce generations so far (snapshots + rotations + trend snapshots).
   [[nodiscard]] std::uint64_t epochs() const noexcept {
     // order: relaxed -- monotonic counter read for display/tests; no payload
     // is synchronized through it.
@@ -245,11 +231,6 @@ class HhhEngine {
   [[nodiscard]] const RhhhSpaceSaving& shard(std::uint32_t w) const noexcept {
     return workers_[w]->ring.live();
   }
-  /// The newest sealed (previous-window) shard lattice of worker `w`, or
-  /// nullptr before the first rotation. Same quiescence caveat as shard().
-  [[nodiscard]] const RhhhSpaceSaving* shard_sealed(std::uint32_t w) const noexcept {
-    return workers_[w]->ring.sealed_or_null();
-  }
   /// The sealed shard lattice of worker `w` from `age` epochs back (0 =
   /// newest). Requires age < shard_sealed_windows(). Same quiescence caveat.
   [[nodiscard]] const RhhhSpaceSaving& shard_sealed(std::uint32_t w,
@@ -271,22 +252,12 @@ class HhhEngine {
   [[nodiscard]] obs::StallWatchdog* watchdog() const noexcept {
     return watchdog_.get();
   }
-  /// TEST HOOK: park worker `w`'s loop (it stops consuming and acking until
-  /// unblocked or the engine stops) -- the deliberate stall the watchdog
-  /// acceptance test injects. Never use outside tests: a blocked worker
-  /// deadlocks any control operation that quiesces.
-  void test_block_worker(std::uint32_t w) noexcept {
-    // order: relaxed -- the worker polls this flag; nothing is published
-    // through it and detection latency of one loop pass is fine.
-    stall_worker_.store(w, std::memory_order_relaxed);
-  }
-  /// TEST HOOK: release a test_block_worker() park.
-  void test_unblock_workers() noexcept {
-    // order: relaxed -- same poll-only contract as test_block_worker().
-    stall_worker_.store(kNoWorker, std::memory_order_relaxed);
-  }
-
  private:
+  /// Test-only access (defined in tests/): parks every worker at a quiesce
+  /// boundary whose resume is held back, the deliberate stall the watchdog
+  /// acceptance test injects. stop() releases the parked workers.
+  friend struct HhhEngineTestPeer;
+
   struct WorkerState {
     WindowRing<RhhhSpaceSaving> ring;  ///< live + K sealed window lattices
     std::thread thread;
@@ -297,9 +268,9 @@ class HhhEngine {
   /// `self` sentinel for quiesced()/rotate_locked(): no worker is driving
   /// the control operation (an external caller or the fallback clock is).
   static constexpr std::uint32_t kNoWorker = ~std::uint32_t{0};
-  /// A budget rotation later than the fallback clock's polling timeslice
-  /// counts as late: the cooperative path missed its one-batch bound.
-  static constexpr std::int64_t kLateRotationNs = 200'000;
+  /// The fallback clock's polling timeslice. A budget rotation later than
+  /// this counts as late: the cooperative path missed its one-batch bound.
+  static constexpr std::int64_t kTimesliceNs = 200'000;
 
   [[nodiscard]] SpscRing<Key128>& ring(std::uint32_t p, std::uint32_t w) noexcept {
     return *rings_[p * workers_.size() + w];
@@ -308,7 +279,12 @@ class HhhEngine {
       std::uint64_t salt) const;
   void worker_loop(std::uint32_t w);
   void clock_loop(std::uint64_t gen);
-  /// One try_pop_n sweep over worker w's M rings; returns records consumed.
+  /// Pop up to `max` records of ring (p, w) into `batch`, apply them to
+  /// worker w's live lattice and count them popped and consumed; returns
+  /// the count.
+  std::size_t consume(std::uint32_t p, std::uint32_t w,
+                      std::vector<Key128>& batch, std::size_t max);
+  /// One consume() sweep over worker w's M rings; returns records consumed.
   std::size_t drain_pass(std::uint32_t w, std::vector<Key128>& batch);
   /// Worker w's epoch-boundary drain: consume exactly the backlog visible
   /// in each of its rings right now (bounded by the observed size, so it
@@ -322,6 +298,10 @@ class HhhEngine {
   /// records the boundary instant for drift metering. Called at every batch
   /// boundary and from boundary_drain().
   void meter_consumed(std::size_t n);
+  /// Open a fresh window's budget at steady-clock `now_ns`: window start,
+  /// packet countdown, wall deadline, drift mark. Callers guarantee no
+  /// worker meters concurrently (none spawned yet, or all parked).
+  void reset_budget(std::int64_t now_ns);
   /// True when the packet or wall budget of the current window is spent.
   /// Lock-free and stale-tolerant: both rotation paths re-check under
   /// snap_mu_ before acting. The first observer of a wall-deadline crossing
@@ -342,10 +322,25 @@ class HhhEngine {
   /// must be released.
   bool try_rotate_cooperative(std::uint32_t w, std::vector<Key128>& batch,
                               std::uint64_t& acked);
-  [[nodiscard]] EngineStats collect_stats() const;
+  /// The one live-window merge behind snapshot() and trend_snapshot():
+  /// quiesce, freeze stats(), merge every shard's live lattice and fold the
+  /// drops counted beyond `drops_base` into N. Caller must hold snap_mu_.
+  struct LiveMerge {
+    std::unique_ptr<RhhhSpaceSaving> merged;
+    EngineStats stats;
+    std::uint64_t drops = 0;  ///< drops folded into merged's N
+    std::uint64_t epoch = 0;  ///< quiesce generation of the merge
+  };
+  [[nodiscard]] LiveMerge merge_live(std::uint64_t drops_base);
+  /// stats() body. `per_ring == false` skips the per-worker/per-ring
+  /// vectors: the metric mirrors and the watchdog sample without
+  /// allocating, which keeps successive mirror samples of one scrape close
+  /// in time.
+  [[nodiscard]] EngineStats collect(bool per_ring) const;
   struct ArchiveItem;  // defined with the archiver state below
   /// Archiver thread body: drains the sealed-window queue into `arch`
-  /// until its generation is retired.
+  /// until its generation is retired and the queue is empty. stop() runs
+  /// it once more with the retired generation as a synchronous drain.
   void archive_loop(store::WindowArchive* arch, std::uint64_t gen);
   /// Snapshot the newest sealed shard windows as serialized blobs and
   /// enqueue them for the archiver (or drop + count on a full queue).
@@ -370,16 +365,13 @@ class HhhEngine {
   void rotate_locked(std::uint32_t self = kNoWorker,
                      std::vector<Key128>* self_batch = nullptr,
                      std::uint64_t* self_acked = nullptr);
-  /// Register this engine's instruments (histograms, counter-mirror and
-  /// occupancy gauges) against cfg_.metrics / the global registry when
-  /// cfg_.telemetry is set; called once from the constructor. With
-  /// telemetry off every obs_ pointer stays null and the hot-path hooks
-  /// compile down to a pointer test (the ablation_obs_overhead baseline).
+  /// Register this engine's instruments (histograms, occupancy gauges and
+  /// one counter mirror per kEngineStatFields row) against cfg_.metrics /
+  /// the global registry when cfg_.telemetry is set; called once from the
+  /// constructor. With telemetry off every obs_ pointer stays null and the
+  /// hot-path hooks compile down to a pointer test (the
+  /// ablation_obs_overhead baseline).
   void bind_metrics();
-  /// Unregister the gauge_fn samplers that capture `this` (they must not
-  /// outlive the engine); registry-owned histograms/gauges stay, so
-  /// successive engines accumulate into the same cumulative families.
-  void unbind_metrics();
   /// Construct the health ledger and stall watchdog per cfg_.health (only
   /// with telemetry on); called once from the constructor after
   /// bind_metrics(). The watchdog thread itself starts/stops with the
@@ -498,8 +490,8 @@ class HhhEngine {
   // Always-on telemetry (src/obs/, EngineConfig::telemetry). Instruments
   // are owned by the registry; these are cached lookups so the hot path
   // records through a raw pointer (null = telemetry off). `owned` lists
-  // the gauge_fn names whose samplers capture `this` -- unbind_metrics()
-  // removes exactly those in the destructor.
+  // the gauge_fn names whose samplers capture `this` -- the destructor
+  // unregisters exactly those.
   struct Obs {
     obs::MetricsRegistry* reg = nullptr;
     obs::Histogram* push_ns = nullptr;        ///< producer batch push latency
@@ -508,7 +500,7 @@ class HhhEngine {
     obs::Histogram* quiesce_ns = nullptr;     ///< request -> all-acked wait
     obs::Histogram* rotation_ns = nullptr;    ///< full rotate_locked() cost
     obs::Histogram* rotation_drift_ns = nullptr;  ///< budget-spent -> rotation
-    obs::Histogram* snapshot_ns = nullptr;    ///< snapshot/window merge time
+    obs::Histogram* snapshot_ns = nullptr;    ///< snapshot() merge time
     obs::Histogram* trend_ns = nullptr;       ///< trend_snapshot merge time
     obs::Gauge* archive_q_depth = nullptr;    ///< sealed windows queued
     obs::TraceRing* trace = nullptr;          ///< global control-plane trace
@@ -521,9 +513,6 @@ class HhhEngine {
   // lock-free progress state. Both null when telemetry is off.
   std::unique_ptr<obs::HealthLedger> health_;
   std::unique_ptr<obs::StallWatchdog> watchdog_;
-  /// Test-only stall injection: the worker whose index matches parks in its
-  /// loop until the flag clears or the engine stops (kNoWorker = none).
-  std::atomic<std::uint32_t> stall_worker_{kNoWorker};
 };
 
 }  // namespace rhhh

@@ -1,26 +1,21 @@
-// EngineSnapshot / WindowedEngineSnapshot / TrendSnapshot: the results of
-// quiescing the sharded engine at an epoch boundary.
+// EngineSnapshot / TrendSnapshot: the results of quiescing the sharded
+// engine at an epoch boundary.
 //
 // EngineSnapshot is the lifetime view -- one merged LatticeHhh over every
 // shard's sub-stream plus the ingest counters frozen at the same instant,
 // answering network-wide (all shards, all producers) exactly like the
 // multi-switch collector of examples/multi_switch_merge.cpp.
 //
-// WindowedEngineSnapshot is the two-window change-detection view: when the
-// engine rotates window epochs (coordinator clock or rotate_epoch()), each
-// shard keeps a ring of window lattices and the snapshot merges the live
-// sides and the newest sealed sides -- the current (partial) window and
-// the sealed previous window -- into two network-wide lattices, with the
-// drops of each window folded into its stream length.
-// current()/previous()/emerging() then mirror the single-threaded
-// WindowedHhhMonitor at multi-core scale.
-//
-// TrendSnapshot is the K-window view: every retained sealed window of
-// every shard is merged index-aligned (all shards rotate on one shared
-// boundary, so sealed(i) of every shard covers the same epoch) into one
-// network-wide lattice per epoch, each with its own window's drops folded
-// into its stream length. trend()/emerging_sustained() then mirror the
-// monitor's k-epoch growth curves and EWMA sustained-ramp alarms.
+// TrendSnapshot is the windowed view: when the engine rotates window
+// epochs (rotate_epoch() or a packet/wall budget), every retained sealed
+// window of every shard is merged index-aligned (all shards rotate on one
+// shared boundary, so sealed(i) of every shard covers the same epoch) into
+// one network-wide lattice per epoch, each with its own window's drops
+// folded into its stream length, next to the merged live window.
+// current()/window(0)/emerging() mirror the single-threaded
+// WindowedHhhMonitor's current/previous/emerging; trend() and
+// emerging_sustained() its k-epoch growth curves and EWMA sustained-ramp
+// alarms.
 #pragma once
 
 #include <cstdint>
@@ -34,11 +29,12 @@
 namespace rhhh {
 
 /// Ingest accounting, frozen per snapshot (and exposed live by the engine).
+/// Every scalar counter is listed once in kEngineStatFields below.
 struct EngineStats {
   std::uint64_t offered = 0;    ///< packets handed to any producer handle
   std::uint64_t consumed = 0;   ///< packets applied to some shard lattice
-  std::uint64_t dropped = 0;    ///< ring-full drops on the lossy offer() path
-  std::uint64_t backpressure_waits = 0;  ///< full-ring retry rounds of push()
+  std::uint64_t dropped = 0;    ///< ring-full drops (OverflowPolicy::kDropTail)
+  std::uint64_t backpressure_waits = 0;  ///< full-ring retry rounds (kBlock)
   std::uint64_t epochs = 0;     ///< quiesce generations (snapshots + rotations)
   std::uint64_t window_epochs = 0;  ///< completed window rotations
   std::uint64_t archived_windows = 0;  ///< sealed windows persisted to the store
@@ -56,8 +52,8 @@ struct EngineStats {
   /// Summed boundary drift (ns) over budget_rotations: the steady-clock
   /// gap between the instant the epoch budget was first observed spent and
   /// the rotation that sealed the window. Cooperative rotation bounds each
-  /// sample by roughly one worker batch; the 200us-timeslice fallback by a
-  /// scheduler quantum.
+  /// sample by roughly one worker batch; an idle stream rotated by the
+  /// fallback clock by its polling timeslice.
   std::uint64_t rotation_drift_ns_total = 0;
   /// Budget rotations whose drift exceeded the fallback clock's 200us
   /// timeslice -- the cooperative path missed its bound and the window
@@ -67,6 +63,42 @@ struct EngineStats {
   std::vector<std::uint64_t> per_ring_dropped;     ///< [producer * W + worker]
   std::vector<std::uint64_t> per_ring_pushed;      ///< [producer * W + worker]
   std::vector<std::uint64_t> per_ring_popped;      ///< [producer * W + worker]
+};
+
+/// One scalar EngineStats counter: `name` is both its key in the stall
+/// watchdog's flight-recorder "stats" object and the suffix of its
+/// rhhh_engine_<name> metric mirror, `help` that metric's help string.
+struct EngineStatField {
+  const char* name;
+  const char* help;
+  std::uint64_t EngineStats::*field;
+};
+
+/// The scalar EngineStats counters, in flight-recorder key order.
+inline constexpr EngineStatField kEngineStatFields[] = {
+    {"offered", "records accepted and published by producer handles",
+     &EngineStats::offered},
+    {"consumed", "records consumed into shard lattices", &EngineStats::consumed},
+    {"dropped", "records dropped at full rings (kDropTail)", &EngineStats::dropped},
+    {"backpressure_waits", "producer spin rounds on full rings (kBlock)",
+     &EngineStats::backpressure_waits},
+    {"epochs", "quiesce generations (snapshots + rotations)", &EngineStats::epochs},
+    {"window_epochs", "completed window rotations", &EngineStats::window_epochs},
+    {"archived_windows", "windows persisted by the archiver",
+     &EngineStats::archived_windows},
+    {"archive_queue_drops", "sealed windows dropped at a full archiver queue",
+     &EngineStats::archive_queue_drops},
+    {"archive_errors", "windows lost to archive I/O errors",
+     &EngineStats::archive_errors},
+    {"trend_cache_hits", "trend_snapshot sealed-merge cache hits",
+     &EngineStats::trend_cache_hits},
+    {"budget_rotations", "budget-driven rotations (the drift-metered subset)",
+     &EngineStats::budget_rotations},
+    {"rotation_drift_ns_total",
+     "summed budget-spent to rotation-start drift (ns, budget-driven rotations)",
+     &EngineStats::rotation_drift_ns_total},
+    {"late_rotations", "budget rotations later than the 200us fallback timeslice",
+     &EngineStats::late_rotations},
 };
 
 class EngineSnapshot {
@@ -94,75 +126,6 @@ class EngineSnapshot {
   std::unique_ptr<RhhhSpaceSaving> merged_;
   EngineStats stats_;
   std::uint64_t epoch_;
-};
-
-/// The two-window network-wide view produced by HhhEngine::window_snapshot().
-/// `previous` is absent (empty set, zero length) until the engine's first
-/// window rotation, mirroring WindowedHhhMonitor::previous().
-class WindowedEngineSnapshot {
- public:
-  WindowedEngineSnapshot(std::unique_ptr<RhhhSpaceSaving> current,
-                         std::unique_ptr<RhhhSpaceSaving> previous,
-                         EngineStats stats, std::uint64_t window_epochs,
-                         std::uint64_t current_drops, std::uint64_t previous_drops)
-      : current_(std::move(current)),
-        previous_(std::move(previous)),
-        stats_(std::move(stats)),
-        window_epochs_(window_epochs),
-        current_drops_(current_drops),
-        previous_drops_(previous_drops) {}
-
-  /// Network-wide HHH set of the current (partial) window.
-  [[nodiscard]] HhhSet current(double theta) const { return current_->output(theta); }
-  /// Network-wide HHH set of the sealed previous window; empty before the
-  /// first rotation.
-  [[nodiscard]] HhhSet previous(double theta) const {
-    if (previous_ == nullptr) return HhhSet(current_->hierarchy().size());
-    return previous_->output(theta);
-  }
-  /// Prefixes heavy in the current window whose share grew by
-  /// >= growth_factor vs the previous window (new prefixes: infinite
-  /// growth) -- WindowedHhhMonitor::emerging at engine scale.
-  [[nodiscard]] std::vector<EmergingPrefix> emerging(double theta,
-                                                     double growth_factor) const {
-    return emerging_from(*current_, previous_.get(), theta, growth_factor);
-  }
-
-  /// N of the current window (shard sub-streams + this window's drops).
-  [[nodiscard]] std::uint64_t current_length() const {
-    return current_->stream_length();
-  }
-  /// N of the previous window (0 before the first rotation).
-  [[nodiscard]] std::uint64_t previous_length() const {
-    return previous_ == nullptr ? 0 : previous_->stream_length();
-  }
-  [[nodiscard]] bool has_previous() const noexcept { return previous_ != nullptr; }
-
-  [[nodiscard]] const RhhhSpaceSaving& current_algorithm() const noexcept {
-    return *current_;
-  }
-  /// Valid only when has_previous().
-  [[nodiscard]] const RhhhSpaceSaving& previous_algorithm() const noexcept {
-    return *previous_;
-  }
-
-  /// Drops attributed to each window (already folded into the lengths).
-  [[nodiscard]] std::uint64_t current_drops() const noexcept { return current_drops_; }
-  [[nodiscard]] std::uint64_t previous_drops() const noexcept {
-    return previous_drops_;
-  }
-
-  [[nodiscard]] const EngineStats& stats() const noexcept { return stats_; }
-  /// Completed window rotations when this snapshot was taken.
-  [[nodiscard]] std::uint64_t window_epochs() const noexcept { return window_epochs_; }
-
- private:
-  std::unique_ptr<RhhhSpaceSaving> current_;
-  std::unique_ptr<RhhhSpaceSaving> previous_;  ///< nullptr before 1st rotation
-  EngineStats stats_;
-  std::uint64_t window_epochs_;
-  std::uint64_t current_drops_;
-  std::uint64_t previous_drops_;
 };
 
 /// The K-window network-wide view produced by HhhEngine::trend_snapshot():

@@ -111,17 +111,9 @@ std::string trace_json(const TraceRing& ring, std::uint64_t limit) {
   }
   std::string out = "{\"recorded\":" + std::to_string(ring.recorded()) +
                     ",\"capacity\":" + std::to_string(ring.capacity()) +
-                    ",\"events\":[";
-  bool first = true;
-  for (const TraceRecord& r : recs) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"seq\":" + std::to_string(r.seq) +
-           ",\"ts_ns\":" + std::to_string(r.ts_ns) + ",\"event\":\"" +
-           to_string(r.event) + "\",\"arg0\":" + std::to_string(r.arg0) +
-           ",\"arg1\":" + std::to_string(r.arg1) + "}";
-  }
-  out += "]}";
+                    ",\"events\":";
+  out += trace_records_json(recs);
+  out += '}';
   return out;
 }
 

@@ -33,27 +33,6 @@ void append_f64(std::string& out, const char* key, double v) {
   out += buf;
 }
 
-[[nodiscard]] std::string trace_records_json(const std::vector<TraceRecord>& recs) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const TraceRecord& r = recs[i];
-    if (i > 0) out += ',';
-    out += '{';
-    append_u64(out, "seq", r.seq);
-    out += ',';
-    append_i64(out, "ts_ns", r.ts_ns);
-    out += ",\"event\":\"";
-    out += to_string(r.event);
-    out += "\",";
-    append_u64(out, "arg0", r.arg0);
-    out += ',';
-    append_u64(out, "arg1", r.arg1);
-    out += '}';
-  }
-  out += ']';
-  return out;
-}
-
 // Gauge samplers funnel through rlx(): each reads one statistic mirror
 // that stamp() overwrites whole, so scrape-time staleness by at most one
 // certificate is the only slack.

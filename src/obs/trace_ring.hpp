@@ -9,8 +9,11 @@
 #pragma once
 
 #include <atomic>
+#include <cinttypes>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 namespace rhhh::obs {
@@ -53,6 +56,25 @@ struct TraceRecord {
   std::uint64_t arg0;
   std::uint64_t arg1;
 };
+
+/// `recs` as a JSON array of {seq, ts_ns, event, arg0, arg1} objects: the
+/// one renderer behind the exporter's /trace body and the stall watchdog's
+/// flight-recorder "trace" section.
+[[nodiscard]] inline std::string trace_records_json(
+    const std::vector<TraceRecord>& recs) {
+  std::string out = "[";
+  char buf[192];  // 4 x 20 digits + the longest event name + the keys
+  for (const TraceRecord& r : recs) {
+    std::snprintf(buf, sizeof(buf),
+                  "%s{\"seq\":%" PRIu64 ",\"ts_ns\":%" PRId64
+                  ",\"event\":\"%s\",\"arg0\":%" PRIu64 ",\"arg1\":%" PRIu64 "}",
+                  out.size() > 1 ? "," : "", r.seq, r.ts_ns, to_string(r.event),
+                  r.arg0, r.arg1);
+    out += buf;
+  }
+  out += ']';
+  return out;
+}
 
 class TraceRing {
  public:

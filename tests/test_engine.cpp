@@ -419,17 +419,17 @@ TEST(WindowedEngine, ManualRotationSeparatesWindows) {
   prod.flush();
   eng.stop();
 
-  const WindowedEngineSnapshot snap = eng.window_snapshot();
-  ASSERT_TRUE(snap.has_previous());
+  const TrendSnapshot snap = eng.trend_snapshot();
+  ASSERT_EQ(snap.sealed_windows(), 1u);
   EXPECT_EQ(snap.window_epochs(), 1u);
-  EXPECT_EQ(snap.previous_length(), 30000u);
+  EXPECT_EQ(snap.window_length(0), 30000u);
   EXPECT_EQ(snap.current_length(), 20000u);
 
   const Hierarchy& h = eng.hierarchy();
   const Prefix pa{h.bottom(), a};
   const Prefix pb{h.bottom(), b};
-  EXPECT_TRUE(snap.previous(0.5).contains(pa));
-  EXPECT_FALSE(snap.previous(0.5).contains(pb));
+  EXPECT_TRUE(snap.window(0, 0.5).contains(pa));
+  EXPECT_FALSE(snap.window(0, 0.5).contains(pb));
   EXPECT_TRUE(snap.current(0.5).contains(pb));
   EXPECT_FALSE(snap.current(0.5).contains(pa));
 
@@ -447,7 +447,7 @@ TEST(WindowedEngine, ManualRotationSeparatesWindows) {
   EXPECT_TRUE(found_b);
 
   // The merged MST lattices recover the exact per-window counts.
-  EXPECT_DOUBLE_EQ(snap.previous_algorithm().estimate(pa), 30000.0);
+  EXPECT_DOUBLE_EQ(snap.window_algorithm(0).estimate(pa), 30000.0);
   EXPECT_DOUBLE_EQ(snap.current_algorithm().estimate(pb), 20000.0);
 }
 
@@ -456,11 +456,10 @@ TEST(WindowedEngine, NoPreviousWindowBeforeFirstRotation) {
   cfg.workers = 2;
   cfg.producers = 1;
   HhhEngine eng(cfg);  // never started, never rotated
-  const WindowedEngineSnapshot snap = eng.window_snapshot();
-  EXPECT_FALSE(snap.has_previous());
+  const TrendSnapshot snap = eng.trend_snapshot();
+  EXPECT_EQ(snap.sealed_windows(), 0u) << "no previous window to answer from";
   EXPECT_EQ(snap.window_epochs(), 0u);
-  EXPECT_EQ(snap.previous_length(), 0u);
-  EXPECT_TRUE(snap.previous(0.01).empty());
+  EXPECT_EQ(snap.current_length(), 0u);
   EXPECT_TRUE(snap.emerging(0.5, 2.0).empty()) << "no traffic, nothing emerges";
 }
 
@@ -550,7 +549,7 @@ TEST(TrendEngine, IndexAlignedMultiShardTrendMerges) {
   EXPECT_DOUBLE_EQ(tb[2].share, 0.0);
   EXPECT_DOUBLE_EQ(tb[3].share, 0.0);
 
-  // The per-age window sets answer like a dedicated two-window snapshot.
+  // Each per-age window set answers for its own sealed epoch.
   EXPECT_TRUE(snap.window(0, 0.4).contains(pa));
   EXPECT_TRUE(snap.window(1, 0.9).contains(pb));
   EXPECT_FALSE(snap.window(1, 0.1).contains(pa));
@@ -627,10 +626,10 @@ TEST(TrendEngine, DropsAttributedPerWindowAge) {
   EXPECT_EQ(snap.window_length(1), drops_w0);
   EXPECT_EQ(snap.window_length(0), drops_w1);
   EXPECT_EQ(snap.current_length(), snap.current_drops());
-  // The two-window view must agree with the trend view's newest age.
-  const WindowedEngineSnapshot two = eng.window_snapshot();
-  EXPECT_EQ(two.previous_drops(), snap.window_drops(0));
-  EXPECT_EQ(two.previous_length(), snap.window_length(0));
+  // A second snapshot (served from the sealed-merge cache) must agree.
+  const TrendSnapshot two = eng.trend_snapshot();
+  EXPECT_EQ(two.window_drops(0), snap.window_drops(0));
+  EXPECT_EQ(two.window_length(0), snap.window_length(0));
 }
 
 TEST(TrendEngine, SustainedRampAlarmsAtEngineScale) {
@@ -770,13 +769,13 @@ TEST(TrendEngine, HistoryDepthOneReproducesEpochPairGolden) {
   }
   prod.flush();
   eng.stop();
-  const WindowedEngineSnapshot snap = eng.window_snapshot();
+  const TrendSnapshot snap = eng.trend_snapshot();
   ASSERT_EQ(snap.window_epochs(), 1u);
   ASSERT_EQ(snap.current_length(), 10000u);
-  ASSERT_EQ(snap.previous_length(), 30000u);
+  ASSERT_EQ(snap.window_length(0), 30000u);
   const Hierarchy& h = eng.hierarchy();
   EXPECT_EQ(golden::digest_set(h, snap.current(0.2)), 0xeb2d4bc442596af9ULL);
-  EXPECT_EQ(golden::digest_set(h, snap.previous(0.2)), 0x63988573466a14bdULL);
+  EXPECT_EQ(golden::digest_set(h, snap.window(0, 0.2)), 0x63988573466a14bdULL);
   EXPECT_EQ(golden::digest_emerging(h, snap.emerging(0.2, 2.0)),
             0x4d1e9ccdc44b0d45ULL);
 }
@@ -822,9 +821,9 @@ TEST(WindowedEngine, DetectsPlantedBurstEndToEnd) {
   ingest_phase(0.30, 40000);  // the burst: ~30% of the live window
   eng.stop();
 
-  const WindowedEngineSnapshot snap = eng.window_snapshot();
-  ASSERT_TRUE(snap.has_previous());
-  EXPECT_EQ(snap.previous_length(), 120000u);
+  const TrendSnapshot snap = eng.trend_snapshot();
+  ASSERT_EQ(snap.sealed_windows(), 1u);
+  EXPECT_EQ(snap.window_length(0), 120000u);
   EXPECT_EQ(snap.current_length(), 80000u);
   EXPECT_EQ(snap.stats().dropped, 0u);
 
@@ -867,22 +866,22 @@ TEST(WindowedEngine, DropsAttributedToTheirWindow) {
   }
   prod.flush();
 
-  const WindowedEngineSnapshot snap = eng.window_snapshot();
-  ASSERT_TRUE(snap.has_previous());
-  EXPECT_EQ(snap.previous_drops(), drops_window0);
+  const TrendSnapshot snap = eng.trend_snapshot();
+  ASSERT_EQ(snap.sealed_windows(), 1u);
+  EXPECT_EQ(snap.window_drops(0), drops_window0);
   EXPECT_EQ(snap.current_drops(), snap.stats().dropped - drops_window0);
   // Nothing was consumed yet: each window's N is exactly its drops.
-  EXPECT_EQ(snap.previous_length(), drops_window0);
+  EXPECT_EQ(snap.window_length(0), drops_window0);
   EXPECT_EQ(snap.current_length(), snap.current_drops());
 
   // Draining the rings books the backlog into the *current* window.
   eng.start();
   eng.stop();
-  const WindowedEngineSnapshot after = eng.window_snapshot();
+  const TrendSnapshot after = eng.trend_snapshot();
   const EngineStats& s = after.stats();
   EXPECT_EQ(s.consumed + s.dropped, 8000u);
   EXPECT_EQ(after.current_length(), s.consumed + after.current_drops());
-  EXPECT_EQ(after.previous_length(), drops_window0);
+  EXPECT_EQ(after.window_length(0), drops_window0);
 }
 
 TEST(WindowedEngine, PacketClockRotatesAutomatically) {
@@ -909,8 +908,8 @@ TEST(WindowedEngine, PacketClockRotatesAutomatically) {
   const std::uint64_t rotations = eng.window_epochs();
   EXPECT_GE(rotations, 1u);
   EXPECT_LE(rotations, 10u) << "clock must meter ~epoch_packets per window";
-  const WindowedEngineSnapshot snap = eng.window_snapshot();
-  EXPECT_TRUE(snap.has_previous());
+  const TrendSnapshot snap = eng.trend_snapshot();
+  EXPECT_GE(snap.sealed_windows(), 1u);
   EXPECT_EQ(snap.stats().consumed, 100000u);
   EXPECT_EQ(snap.stats().window_epochs, rotations);
 }
@@ -968,38 +967,6 @@ TEST(WindowedEngine, PacketBudgetMetersConsumedOnly) {
   EXPECT_EQ(s2.consumed + s2.dropped, s2.offered);
 }
 
-// cooperative_rotation = false is the escape hatch: the coordinator clock's
-// 200us polling timeslice must still drive packet-budget rotations on its
-// own (workers meter the budget but never claim it).
-TEST(WindowedEngine, FallbackClockRotatesWithCooperativeOff) {
-  EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.producers = 1;
-  cfg.epoch_packets = 10000;
-  cfg.cooperative_rotation = false;
-  HhhEngine eng(cfg);
-  eng.start();
-  HhhEngine::Producer& prod = eng.producer(0);
-  Xoroshiro128 rng(37);
-  for (int i = 0; i < 100000; ++i) {
-    prod.ingest(Key128::from_pair(rng(), static_cast<std::uint32_t>(rng())));
-  }
-  prod.flush();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (eng.window_epochs() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::yield();
-  }
-  eng.stop();
-  const EngineStats s = eng.stats();
-  EXPECT_GE(s.window_epochs, 1u);
-  EXPECT_LE(s.window_epochs, 10u);
-  EXPECT_EQ(s.budget_rotations, s.window_epochs)
-      << "clock-driven budget rotations must feed the drift telemetry";
-  EXPECT_EQ(s.consumed, 100000u);
-}
-
 TEST(WindowedEngine, WallClockRotatesAutomatically) {
   EngineConfig cfg;
   cfg.workers = 1;
@@ -1016,6 +983,12 @@ TEST(WindowedEngine, WallClockRotatesAutomatically) {
   }
   eng.stop();
   EXPECT_GE(eng.window_epochs(), 2u);
+  // An idle stream has no batch boundary for a worker to notice the
+  // deadline at: the fallback clock rotates, and every one of its
+  // rotations is budget-driven, so each feeds the drift telemetry.
+  const EngineStats s = eng.stats();
+  EXPECT_EQ(s.budget_rotations, s.window_epochs)
+      << "clock-driven budget rotations must feed the drift telemetry";
 }
 
 // ------------------------------------------------------------- stress ----

@@ -98,7 +98,7 @@ TEST_P(EngineFuzz, ConservationHoldsUnderConcurrentChaos) {
     for (int i = 0; i < plan.chaos_ops; ++i) {
       switch (rng.bounded(4)) {
         case 0: (void)eng.snapshot(); break;
-        case 1: (void)eng.window_snapshot(); break;
+        case 1: (void)eng.trend_snapshot(); break;
         case 2: (void)eng.trend_snapshot(); break;
         default: eng.rotate_epoch(); break;
       }
@@ -143,27 +143,30 @@ TEST_P(EngineFuzz, ConservationHoldsUnderConcurrentChaos) {
   std::uint64_t sealed_n = 0;
   for (std::uint32_t w = 0; w < eng.workers(); ++w) {
     live_n += eng.shard(w).stream_length();
-    if (const RhhhSpaceSaving* sealed = eng.shard_sealed(w)) {
-      sealed_n += sealed->stream_length();
+    if (eng.shard_sealed_windows() != 0) {
+      sealed_n += eng.shard_sealed(w, 0).stream_length();
     }
   }
   const EngineSnapshot life = eng.snapshot();
   EXPECT_EQ(life.stream_length(), live_n + s.dropped);
 
-  const WindowedEngineSnapshot win = eng.window_snapshot();
+  const TrendSnapshot win = eng.trend_snapshot();
+  const bool has_previous = win.sealed_windows() != 0;
+  const std::uint64_t previous_length = has_previous ? win.window_length(0) : 0;
+  const std::uint64_t previous_drops = has_previous ? win.window_drops(0) : 0;
   EXPECT_EQ(win.current_length(), live_n + win.current_drops());
-  EXPECT_LE(win.current_drops() + win.previous_drops(), s.dropped);
-  if (win.has_previous()) {
-    EXPECT_EQ(win.previous_length(), sealed_n + win.previous_drops());
+  EXPECT_LE(win.current_drops() + previous_drops, s.dropped);
+  if (has_previous) {
+    EXPECT_EQ(previous_length, sealed_n + previous_drops);
   } else {
-    EXPECT_EQ(win.previous_length(), 0u);
-    EXPECT_EQ(win.previous_drops(), 0u);
+    EXPECT_EQ(previous_length, 0u);
+    EXPECT_EQ(previous_drops, 0u);
   }
   EXPECT_EQ(win.stats().window_epochs, eng.window_epochs());
 
   // K-window trend view: per-age window lengths must equal the
   // index-aligned sum of the shard ring slots plus exactly that window's
-  // drops, and the newest age must agree with the two-window view.
+  // drops, and the newest age must agree with the first snapshot above.
   const TrendSnapshot tr = eng.trend_snapshot();
   EXPECT_EQ(tr.sealed_windows(),
             std::min<std::uint64_t>(eng.window_epochs(), plan.cfg.history_depth));
@@ -184,8 +187,8 @@ TEST_P(EngineFuzz, ConservationHoldsUnderConcurrentChaos) {
     EXPECT_EQ(retained_drops, s.dropped) << "no eviction: every drop retained";
   }
   if (tr.sealed_windows() != 0) {
-    EXPECT_EQ(tr.window_length(0), win.previous_length());
-    EXPECT_EQ(tr.window_drops(0), win.previous_drops());
+    EXPECT_EQ(tr.window_length(0), previous_length);
+    EXPECT_EQ(tr.window_drops(0), previous_drops);
   }
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include <fstream>
+#include <mutex>
 #include <sstream>
 
 #include "engine/engine.hpp"
@@ -31,9 +32,34 @@
 #include "obs/health.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_ring.hpp"
+#include "temp_path.hpp"
 #include "util/random.hpp"
 
 namespace rhhh {
+
+/// Test-only park on the engine's own quiesce boundary (HhhEngine
+/// befriends this name). park() requests a boundary exactly like
+/// quiesced() does and waits until every worker has drained its visible
+/// backlog and acked -- but never publishes the resume, so the workers stay
+/// parked while new records pile up in their rings. Any later control
+/// operation would wait on them forever; stop() releases them (its
+/// running_ flip satisfies the parked wait) and their shutdown drain
+/// consumes the backlog.
+struct HhhEngineTestPeer {
+  static void park(HhhEngine& eng) {
+    const std::lock_guard<std::mutex> snap_lk(eng.snap_mu_);
+    const std::uint64_t e = eng.epoch_req_.load(std::memory_order_relaxed) + 1;
+    eng.epoch_req_.store(e, std::memory_order_release);
+    std::unique_lock<std::mutex> lk(eng.ctl_mu_);
+    eng.ctl_cv_.wait(lk, [&] {
+      for (const auto& ws : eng.workers_) {
+        if (ws->epoch_acked < e) return false;
+      }
+      return true;
+    });
+  }
+};
+
 namespace {
 
 using obs::AccuracyCertificate;
@@ -289,7 +315,7 @@ TEST(ObsHealthWatchdog, DetectsFrozenProgressAndWritesFlightRecorder) {
   cert.stream_length = 123;
   ledger.stamp(cert);
   TraceRing ring(64);
-  const std::string dump_path = testing::TempDir() + "obs_wd_dump.json";
+  const std::string dump_path = test::unique_temp_path("obs_wd_dump", ".json");
   std::remove(dump_path.c_str());
   StallWatchdog::Config wc;
   wc.period_ns = 20'000'000;  // 20 ms: fast test, same policy as production
@@ -353,12 +379,14 @@ TEST(ObsHealthWatchdog, DetectsFrozenProgressAndWritesFlightRecorder) {
   std::remove(dump_path.c_str());
 }
 
-/// Acceptance criterion: a deliberately stalled engine (worker parked via
-/// the test hook while records sit in its rings) is detected by the
-/// engine-integrated watchdog, with a readable flight-recorder dump.
+/// Acceptance criterion: a deliberately stalled engine (worker parked at a
+/// held quiesce boundary while records sit in its rings) is detected by the
+/// engine-integrated watchdog, with a readable flight-recorder dump whose
+/// "stats" object carries every EngineStats counter.
 TEST(ObsHealthWatchdog, DeliberatelyStalledEngineIsDetected) {
   MetricsRegistry reg;
-  const std::string dump_path = testing::TempDir() + "obs_engine_stall.json";
+  const std::string dump_path =
+      test::unique_temp_path("obs_engine_stall", ".json");
   std::remove(dump_path.c_str());
   EngineConfig cfg;
   cfg.workers = 1;
@@ -373,8 +401,8 @@ TEST(ObsHealthWatchdog, DeliberatelyStalledEngineIsDetected) {
   HhhEngine eng(cfg);
   ASSERT_NE(eng.health(), nullptr);
   ASSERT_NE(eng.watchdog(), nullptr);
-  eng.test_block_worker(0);  // park the only consumer before it ever runs
   eng.start();
+  HhhEngineTestPeer::park(eng);  // the only consumer is parked from here on
   HhhEngine::Producer& p = eng.producer(0);
   Xoroshiro128 rng(11);
   for (int i = 0; i < 50000; ++i) p.ingest(Key128{rng(), rng()});
@@ -396,11 +424,18 @@ TEST(ObsHealthWatchdog, DeliberatelyStalledEngineIsDetected) {
   EXPECT_NE(dump.find("\"reason\":\"no_progress\""), std::string::npos);
   EXPECT_NE(dump.find("\"stats\":{"), std::string::npos);
   EXPECT_NE(dump.find("\"window_epochs\""), std::string::npos);
+  const std::size_t stats_at = dump.find("\"stats\":{");
+  ASSERT_NE(stats_at, std::string::npos);
+  const std::string stats =
+      dump.substr(stats_at, dump.find('}', stats_at) - stats_at + 1);
+  for (const EngineStatField& f : kEngineStatFields) {
+    EXPECT_NE(stats.find(std::string("\"") + f.name + "\":"), std::string::npos)
+        << "flight-recorder stats lacks " << f.name << ": " << stats;
+  }
   std::ifstream in(dump_path);
   EXPECT_TRUE(in.good()) << "flight-recorder file missing: " << dump_path;
-  eng.test_unblock_workers();
-  eng.stop();
-  // The unparked worker's shutdown drain recovers every queued record.
+  eng.stop();  // releases the parked worker
+  // The released worker's shutdown drain recovers every queued record.
   const EngineStats s = eng.stats();
   EXPECT_EQ(s.offered, s.consumed + s.dropped);
   EXPECT_GT(s.consumed, 0u);
@@ -751,6 +786,14 @@ TEST(ObsExporter, ScrapesLiveEngineWithoutQuiescing) {
     }
     p.flush();
   });
+  // Scrape once ingestion is under way: on a loaded host five quick scrapes
+  // can otherwise finish before the producer thread is first scheduled.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (eng.producer(0).offered() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
 
   std::uint64_t last_offered = 0;
   for (int scrape = 0; scrape < 5; ++scrape) {
@@ -773,6 +816,14 @@ TEST(ObsExporter, ScrapesLiveEngineWithoutQuiescing) {
   EXPECT_EQ(static_cast<std::uint64_t>(reg.value("rhhh_engine_offered")),
             static_cast<std::uint64_t>(reg.value("rhhh_engine_consumed")) +
                 static_cast<std::uint64_t>(reg.value("rhhh_engine_dropped")));
+  // Every EngineStats counter has a metric mirror, and once the engine is
+  // stopped the mirror and stats() read the same value.
+  const EngineStats s = eng.stats();
+  for (const EngineStatField& f : kEngineStatFields) {
+    const std::string name = std::string("rhhh_engine_") + f.name;
+    EXPECT_TRUE(reg.has(name)) << name;
+    EXPECT_EQ(static_cast<std::uint64_t>(reg.value(name)), s.*f.field) << name;
+  }
 }
 
 /// Engine destruction unregisters its `this`-capturing samplers; the

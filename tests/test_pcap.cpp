@@ -10,6 +10,7 @@
 #include "net/frame.hpp"
 #include "net/ipv4.hpp"
 #include "net/pcap.hpp"
+#include "temp_path.hpp"
 #include "trace/trace_gen.hpp"
 
 namespace rhhh {
@@ -17,7 +18,7 @@ namespace {
 
 class PcapTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/rhhh_pcap_test.pcap";
+  std::string path_ = test::unique_temp_path("rhhh_pcap_test", ".pcap");
   void TearDown() override { std::remove(path_.c_str()); }
 
   [[nodiscard]] std::vector<std::uint8_t> file_bytes() const {

@@ -175,7 +175,7 @@ TEST(ScheduleStress, RotateVsSnapshotChaos) {
     for (int i = 0; i < 25; ++i) {
       switch (rng.bounded(3)) {
         case 0: (void)eng.snapshot(); break;
-        case 1: (void)eng.window_snapshot(); break;
+        case 1: (void)eng.trend_snapshot(); break;
         default: (void)eng.trend_snapshot(); break;
       }
     }

@@ -10,6 +10,7 @@
 #include <set>
 #include <vector>
 
+#include "temp_path.hpp"
 #include "trace/address_model.hpp"
 #include "trace/trace_gen.hpp"
 #include "trace/trace_io.hpp"
@@ -236,7 +237,7 @@ TEST(TraceGen, GenerateBatch) {
 
 class TraceIoTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/rhhh_trace_test.rhht";
+  std::string path_ = test::unique_temp_path("rhhh_trace_test", ".rhht");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
